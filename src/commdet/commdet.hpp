@@ -78,7 +78,6 @@
 #include "commdet/io/delta_text.hpp"
 #include "commdet/io/edge_list_text.hpp"
 #include "commdet/io/matrix_market.hpp"
-#include "commdet/io/parallel_edge_list.hpp"
 #include "commdet/io/metis.hpp"
 #include "commdet/io/partition.hpp"
 #include "commdet/io/snapshot.hpp"

@@ -4,10 +4,10 @@
 // This is the paper's bucket-sort contraction generalized from "each
 // community absorbs at most one partner" to "any vertex -> community
 // map": counting pass, scatter into first-vertex buckets, per-bucket
-// sort-and-accumulate, contiguous copy-back.  The result costs
-// O(E + buckets) instead of the O(E log E) edge-list rebuild, and every
-// placement invariant of CommunityGraph (hashed edge order, sorted
-// buckets) holds by construction.
+// sort-and-accumulate, contiguous copy-back.  That kernel is
+// accumulate_buckets() in graph/builder.hpp, the same one that builds
+// the input graph, so every placement invariant of CommunityGraph
+// (hashed edge order, sorted buckets) holds by construction.
 //
 // Two subsystems share it: the dyn/ warm-start path (contract the
 // surviving assignment into a seeded community graph) and the parallel
@@ -16,16 +16,15 @@
 // aggregation step of Louvain IS a seeded contraction.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
+#include "commdet/graph/builder.hpp"
 #include "commdet/graph/community_graph.hpp"
+#include "commdet/graph/edge_list.hpp"
 #include "commdet/util/parallel.hpp"
-#include "commdet/util/prefix_sum.hpp"
 #include "commdet/util/types.hpp"
 
 namespace commdet {
@@ -38,18 +37,21 @@ template <VertexId V>
 [[nodiscard]] CommunityGraph<V> contract_by_labels(const CommunityGraph<V>& base,
                                                    std::span<const V> labels,
                                                    std::int64_t num_labels) {
-  const auto nv = static_cast<std::int64_t>(base.nv);
-  const EdgeId ne = base.num_edges();
-
   CommunityGraph<V> out;
   out.nv = static_cast<V>(num_labels);
   out.total_weight = base.total_weight;
-  out.volume.assign(static_cast<std::size_t>(num_labels), 0);
-  out.self_weight.assign(static_cast<std::size_t>(num_labels), 0);
+  // Relabelled edges go through the builder's bucket-sort kernel; an
+  // edge inside one class arrives as a self-loop and folds into it.
+  accumulate_buckets(out, base.num_edges(), [&](std::int64_t i) {
+    const auto ii = static_cast<std::size_t>(i);
+    return RawEdge<V>{labels[static_cast<std::size_t>(base.efirst[ii])],
+                      labels[static_cast<std::size_t>(base.esecond[ii])], base.eweight[ii]};
+  });
 
   // Per-vertex state is additive under contraction: volumes scatter-add,
   // member self-loops fold into the community self weight.
-  parallel_for(nv, [&](std::int64_t v) {
+  out.volume.assign(static_cast<std::size_t>(num_labels), 0);
+  parallel_for(static_cast<std::int64_t>(base.nv), [&](std::int64_t v) {
     const auto vi = static_cast<std::size_t>(v);
     const auto c = static_cast<std::size_t>(labels[vi]);
     std::atomic_ref<Weight>(out.volume[c])
@@ -57,141 +59,6 @@ template <VertexId V>
     if (base.self_weight[vi] > 0)
       std::atomic_ref<Weight>(out.self_weight[c])
           .fetch_add(base.self_weight[vi], std::memory_order_relaxed);
-  });
-
-  // Passes 1-2: count surviving (cross-community) edges per first
-  // bucket, then scatter (second; weight) into the buckets.  Unlike the
-  // per-level matching contractor, the input here is a *full* graph and
-  // most of its weight lands on a handful of targets — every intra-
-  // community edge of a big label class folds into one self-weight
-  // slot, and hub buckets draw millions of placements — so atomic
-  // fetch-adds on shared counters serialize.  Instead the edge range is
-  // cut into fixed chunks with private histograms; a per-bucket prefix
-  // over the chunks turns them into private cursors, and the scatter
-  // runs without a single atomic.
-  const std::int64_t nchunks = std::max(1, omp_get_max_threads());
-  const auto chunk_begin = [&](std::int64_t c) {
-    return static_cast<EdgeId>((static_cast<std::int64_t>(ne) * c) / nchunks);
-  };
-  std::vector<std::vector<EdgeId>> chunk_count(static_cast<std::size_t>(nchunks));
-  std::vector<std::vector<Weight>> chunk_self(static_cast<std::size_t>(nchunks));
-  parallel_for_dynamic(nchunks, [&](std::int64_t c) {
-    auto& cnt = chunk_count[static_cast<std::size_t>(c)];
-    auto& slf = chunk_self[static_cast<std::size_t>(c)];
-    cnt.assign(static_cast<std::size_t>(num_labels), 0);
-    slf.assign(static_cast<std::size_t>(num_labels), 0);
-    const EdgeId ee = chunk_begin(c + 1);
-    for (EdgeId i = chunk_begin(c); i < ee; ++i) {
-      const auto ii = static_cast<std::size_t>(i);
-      const V a = labels[static_cast<std::size_t>(base.efirst[ii])];
-      const V b = labels[static_cast<std::size_t>(base.esecond[ii])];
-      if (a == b) {
-        slf[static_cast<std::size_t>(a)] += base.eweight[ii];
-        continue;
-      }
-      const auto [f, s] = hashed_edge_order(a, b);
-      ++cnt[static_cast<std::size_t>(f)];
-    }
-  }, /*chunk=*/1);
-
-  // Per-bucket reduction: bucket totals, chunk-local cursor prefixes,
-  // and the folded self weights, one parallel sweep over the buckets.
-  std::vector<EdgeId> counts(static_cast<std::size_t>(num_labels) + 1, 0);
-  parallel_for(num_labels, [&](std::int64_t b) {
-    const auto bi = static_cast<std::size_t>(b);
-    EdgeId total = 0;
-    Weight sw = 0;
-    for (std::int64_t c = 0; c < nchunks; ++c) {
-      auto& cnt = chunk_count[static_cast<std::size_t>(c)];
-      const EdgeId here = cnt[bi];
-      cnt[bi] = total;  // becomes the chunk's private cursor base
-      total += here;
-      sw += chunk_self[static_cast<std::size_t>(c)][bi];
-    }
-    counts[bi] = total;
-    out.self_weight[bi] += sw;
-  });
-
-  const EdgeId live = exclusive_prefix_sum(std::span<EdgeId>(counts));
-
-  std::vector<V> tmp_second(static_cast<std::size_t>(live));
-  std::vector<Weight> tmp_weight(static_cast<std::size_t>(live));
-  parallel_for_dynamic(nchunks, [&](std::int64_t c) {
-    auto& cur = chunk_count[static_cast<std::size_t>(c)];
-    const EdgeId ee = chunk_begin(c + 1);
-    for (EdgeId i = chunk_begin(c); i < ee; ++i) {
-      const auto ii = static_cast<std::size_t>(i);
-      const V a = labels[static_cast<std::size_t>(base.efirst[ii])];
-      const V b = labels[static_cast<std::size_t>(base.esecond[ii])];
-      if (a == b) continue;
-      const auto [f, s] = hashed_edge_order(a, b);
-      const auto fi = static_cast<std::size_t>(f);
-      const EdgeId at = counts[fi] + cur[fi]++;
-      tmp_second[static_cast<std::size_t>(at)] = s;
-      tmp_weight[static_cast<std::size_t>(at)] = base.eweight[ii];
-    }
-  }, /*chunk=*/1);
-
-  // Pass 3: per-bucket sort by second vertex, accumulating duplicates.
-  std::vector<EdgeId> new_len(static_cast<std::size_t>(num_labels), 0);
-  ExceptionCollector errors;
-#pragma omp parallel
-  {
-    std::vector<std::pair<V, Weight>> scratch;
-#pragma omp for schedule(dynamic, 64)
-    for (std::int64_t v = 0; v < num_labels; ++v) {
-      if (errors.armed()) continue;
-      errors.run([&] {
-        const EdgeId bb = counts[static_cast<std::size_t>(v)];
-        const EdgeId be = counts[static_cast<std::size_t>(v) + 1];
-        if (bb == be) return;
-        scratch.clear();
-        for (EdgeId k = bb; k < be; ++k)
-          scratch.emplace_back(tmp_second[static_cast<std::size_t>(k)],
-                               tmp_weight[static_cast<std::size_t>(k)]);
-        std::sort(scratch.begin(), scratch.end(),
-                  [](const auto& x, const auto& y) { return x.first < y.first; });
-        EdgeId w = bb;
-        for (std::size_t r = 0; r < scratch.size(); ++r) {
-          if (r > 0 && scratch[r].first == tmp_second[static_cast<std::size_t>(w - 1)]) {
-            tmp_weight[static_cast<std::size_t>(w - 1)] += scratch[r].second;
-          } else {
-            tmp_second[static_cast<std::size_t>(w)] = scratch[r].first;
-            tmp_weight[static_cast<std::size_t>(w)] = scratch[r].second;
-            ++w;
-          }
-        }
-        new_len[static_cast<std::size_t>(v)] = w - bb;
-      });
-    }
-  }
-  errors.rethrow_if_armed();
-
-  // Pass 4: copy the shortened buckets out contiguously.
-  std::vector<EdgeId> final_off(new_len.begin(), new_len.end());
-  final_off.push_back(0);
-  const EdgeId final_ne = exclusive_prefix_sum(std::span<EdgeId>(final_off));
-  out.efirst.resize(static_cast<std::size_t>(final_ne));
-  out.esecond.resize(static_cast<std::size_t>(final_ne));
-  out.eweight.resize(static_cast<std::size_t>(final_ne));
-  parallel_for_dynamic(num_labels, [&](std::int64_t v) {
-    const EdgeId src = counts[static_cast<std::size_t>(v)];
-    const EdgeId dst = final_off[static_cast<std::size_t>(v)];
-    const EdgeId len = new_len[static_cast<std::size_t>(v)];
-    for (EdgeId k = 0; k < len; ++k) {
-      out.efirst[static_cast<std::size_t>(dst + k)] = static_cast<V>(v);
-      out.esecond[static_cast<std::size_t>(dst + k)] =
-          tmp_second[static_cast<std::size_t>(src + k)];
-      out.eweight[static_cast<std::size_t>(dst + k)] =
-          tmp_weight[static_cast<std::size_t>(src + k)];
-    }
-  });
-
-  out.bucket_begin.assign(final_off.begin(), final_off.end() - 1);
-  out.bucket_end.assign(static_cast<std::size_t>(num_labels), 0);
-  parallel_for(num_labels, [&](std::int64_t v) {
-    out.bucket_end[static_cast<std::size_t>(v)] =
-        final_off[static_cast<std::size_t>(v)] + new_len[static_cast<std::size_t>(v)];
   });
   return out;
 }

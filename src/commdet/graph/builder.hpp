@@ -1,19 +1,22 @@
 // Builds a CommunityGraph from a raw edge list, and applies normalized
 // delta batches to an already-built graph.
 //
-// Pipeline (all parallel): hash each edge into storage order, fold
-// self-loops into the self-weight array, sort the remaining triples by
-// (first, second), accumulate duplicates, and lay the result out as
-// contiguous sorted buckets.  This is the same machinery the bucket-sort
-// contraction uses each level, applied once to the input.
+// The build is the paper's bucket-sort contraction (Sec. IV-C) applied
+// once to the input: count edges per hashed first vertex, scatter
+// (second; weight) into those buckets, sort and accumulate within each
+// bucket, and copy the buckets out contiguously.  accumulate_buckets()
+// is that kernel; contract_by_labels() runs the same one each time it
+// collapses a graph by a labeling.
 //
 // apply_delta() is the incremental path: instead of re-running the full
-// O(E log E) build for a small batch of mutations, it classifies each
-// delta against its bucket by binary search and merges old bucket and
-// deltas in one parallel O(E + D log D) pass, preserving every builder
-// invariant (contiguous buckets in vertex order, sorted by second
-// endpoint, hashed placement, incremental volumes).
+// build for a small batch of mutations, it classifies each delta against
+// its bucket by binary search and merges old bucket and deltas in one
+// parallel O(E + D log D) pass, preserving every builder invariant
+// (contiguous buckets in vertex order, sorted by second endpoint, hashed
+// placement, incremental volumes).
 #pragma once
+
+#include <omp.h>
 
 #include <algorithm>
 #include <atomic>
@@ -21,134 +24,190 @@
 #include <cstdint>
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "commdet/graph/community_graph.hpp"
 #include "commdet/graph/delta.hpp"
 #include "commdet/graph/edge_list.hpp"
+#include "commdet/obs/trace.hpp"
 #include "commdet/util/compact.hpp"
 #include "commdet/util/parallel.hpp"
 #include "commdet/util/prefix_sum.hpp"
-#include "commdet/util/sort.hpp"
 #include "commdet/util/types.hpp"
 
 namespace commdet {
 
-namespace detail {
+/// Bucket-sort kernel: fills `g`'s self weights, edge arrays and bucket
+/// cursors from `ne` edges over endpoints in [0, g.nv), where
+/// `edge_at(i)` returns the i-th edge as a RawEdge<V>.  Self-loops fold
+/// into g.self_weight; every other edge lands in the bucket of its
+/// hashed first vertex.  Buckets come out contiguous in vertex order,
+/// each sorted by second endpoint with repeated pairs summed.
+template <VertexId V, typename EdgeAt>
+void accumulate_buckets(CommunityGraph<V>& g, std::int64_t ne, const EdgeAt& edge_at) {
+  const auto nb = static_cast<std::int64_t>(g.nv);
+  const auto nbs = static_cast<std::size_t>(nb);
+  g.self_weight.assign(nbs, 0);
 
-template <VertexId V>
-struct HashedTriple {
-  V first;
-  V second;
-  Weight w;
-};
+  // Passes 1-2: count edges per first bucket, then scatter (second;
+  // weight) into the buckets.  Most of the weight of a skewed input
+  // lands on a handful of targets -- hub buckets draw millions of
+  // placements, and a contraction folds every intra-community edge of a
+  // big class into one self-weight slot -- so atomic fetch-adds on
+  // shared counters serialize.  Instead the edge range is cut into
+  // fixed chunks with private histograms; a per-bucket prefix over the
+  // chunks turns them into private cursors, and the scatter runs
+  // without a single atomic.
+  const std::int64_t nchunks = std::max(1, omp_get_max_threads());
+  const auto chunk_begin = [&](std::int64_t c) { return (ne * c) / nchunks; };
+  std::vector<std::vector<EdgeId>> chunk_count(static_cast<std::size_t>(nchunks));
+  std::vector<std::vector<Weight>> chunk_self(static_cast<std::size_t>(nchunks));
+  parallel_for_dynamic(nchunks, [&](std::int64_t c) {
+    auto& cnt = chunk_count[static_cast<std::size_t>(c)];
+    auto& slf = chunk_self[static_cast<std::size_t>(c)];
+    cnt.assign(nbs, 0);
+    slf.assign(nbs, 0);
+    const std::int64_t ee = chunk_begin(c + 1);
+    for (std::int64_t i = chunk_begin(c); i < ee; ++i) {
+      const RawEdge<V> e = edge_at(i);
+      if (e.u == e.v) {
+        slf[static_cast<std::size_t>(e.u)] += e.w;
+        continue;
+      }
+      ++cnt[static_cast<std::size_t>(hashed_edge_order(e.u, e.v).first)];
+    }
+  }, /*chunk=*/1);
 
-}  // namespace detail
+  // Per-bucket reduction: bucket totals, chunk-local cursor prefixes,
+  // and the folded self weights, one parallel sweep over the buckets.
+  std::vector<EdgeId> counts(nbs + 1, 0);
+  parallel_for(nb, [&](std::int64_t b) {
+    const auto bi = static_cast<std::size_t>(b);
+    EdgeId total = 0;
+    Weight sw = 0;
+    for (std::int64_t c = 0; c < nchunks; ++c) {
+      auto& cnt = chunk_count[static_cast<std::size_t>(c)];
+      const EdgeId here = cnt[bi];
+      cnt[bi] = total;  // becomes the chunk's private cursor base
+      total += here;
+      sw += chunk_self[static_cast<std::size_t>(c)][bi];
+    }
+    counts[bi] = total;
+    g.self_weight[bi] = sw;
+  });
+  chunk_self = {};
+
+  const EdgeId live = exclusive_prefix_sum(std::span<EdgeId>(counts));
+
+  std::vector<V> tmp_second(static_cast<std::size_t>(live));
+  std::vector<Weight> tmp_weight(static_cast<std::size_t>(live));
+  parallel_for_dynamic(nchunks, [&](std::int64_t c) {
+    auto& cur = chunk_count[static_cast<std::size_t>(c)];
+    const std::int64_t ee = chunk_begin(c + 1);
+    for (std::int64_t i = chunk_begin(c); i < ee; ++i) {
+      const RawEdge<V> e = edge_at(i);
+      if (e.u == e.v) continue;
+      const auto [f, s] = hashed_edge_order(e.u, e.v);
+      const auto fi = static_cast<std::size_t>(f);
+      const EdgeId at = counts[fi] + cur[fi]++;
+      tmp_second[static_cast<std::size_t>(at)] = s;
+      tmp_weight[static_cast<std::size_t>(at)] = e.w;
+    }
+  }, /*chunk=*/1);
+  chunk_count = {};
+
+  // Pass 3: per-bucket sort by second vertex, accumulating duplicates.
+  std::vector<EdgeId> new_len(nbs, 0);
+  ExceptionCollector errors;
+#pragma omp parallel
+  {
+    std::vector<std::pair<V, Weight>> scratch;
+#pragma omp for schedule(dynamic, 64)
+    for (std::int64_t v = 0; v < nb; ++v) {
+      if (errors.armed()) continue;
+      errors.run([&] {
+        const EdgeId bb = counts[static_cast<std::size_t>(v)];
+        const EdgeId be = counts[static_cast<std::size_t>(v) + 1];
+        if (bb == be) return;
+        scratch.clear();
+        for (EdgeId k = bb; k < be; ++k)
+          scratch.emplace_back(tmp_second[static_cast<std::size_t>(k)],
+                               tmp_weight[static_cast<std::size_t>(k)]);
+        std::sort(scratch.begin(), scratch.end(),
+                  [](const auto& x, const auto& y) { return x.first < y.first; });
+        EdgeId w = bb;
+        for (std::size_t r = 0; r < scratch.size(); ++r) {
+          if (r > 0 && scratch[r].first == tmp_second[static_cast<std::size_t>(w - 1)]) {
+            tmp_weight[static_cast<std::size_t>(w - 1)] += scratch[r].second;
+          } else {
+            tmp_second[static_cast<std::size_t>(w)] = scratch[r].first;
+            tmp_weight[static_cast<std::size_t>(w)] = scratch[r].second;
+            ++w;
+          }
+        }
+        new_len[static_cast<std::size_t>(v)] = w - bb;
+      });
+    }
+  }
+  errors.rethrow_if_armed();
+
+  // Pass 4: copy the shortened buckets out contiguously.
+  std::vector<EdgeId> final_off(new_len.begin(), new_len.end());
+  final_off.push_back(0);
+  const EdgeId final_ne = exclusive_prefix_sum(std::span<EdgeId>(final_off));
+  g.efirst.resize(static_cast<std::size_t>(final_ne));
+  g.esecond.resize(static_cast<std::size_t>(final_ne));
+  g.eweight.resize(static_cast<std::size_t>(final_ne));
+  parallel_for_dynamic(nb, [&](std::int64_t v) {
+    const EdgeId src = counts[static_cast<std::size_t>(v)];
+    const EdgeId dst = final_off[static_cast<std::size_t>(v)];
+    const EdgeId len = new_len[static_cast<std::size_t>(v)];
+    for (EdgeId k = 0; k < len; ++k) {
+      const auto to = static_cast<std::size_t>(dst + k);
+      const auto from = static_cast<std::size_t>(src + k);
+      g.efirst[to] = static_cast<V>(v);
+      g.esecond[to] = tmp_second[from];
+      g.eweight[to] = tmp_weight[from];
+    }
+  });
+
+  g.bucket_begin.assign(final_off.begin(), final_off.end() - 1);
+  g.bucket_end.assign(nbs, 0);
+  parallel_for(nb, [&](std::int64_t v) {
+    g.bucket_end[static_cast<std::size_t>(v)] =
+        final_off[static_cast<std::size_t>(v)] + new_len[static_cast<std::size_t>(v)];
+  });
+}
 
 /// Builds the bucketed community graph.  Throws std::invalid_argument on
 /// out-of-range endpoints or non-positive weights.
 template <VertexId V>
 [[nodiscard]] CommunityGraph<V> build_community_graph(const EdgeList<V>& input) {
+  obs::ScopedSpan span("graph.build");
   const V nv = input.num_vertices;
-  const std::int64_t ne_raw = input.num_edges();
+  const std::int64_t ne = input.num_edges();
+
+  std::atomic<bool> bad_endpoint{false};
+  std::atomic<bool> bad_weight{false};
+  parallel_for(ne, [&](std::int64_t i) {
+    const auto& e = input.edges[static_cast<std::size_t>(i)];
+    if (e.u < 0 || e.u >= nv || e.v < 0 || e.v >= nv)
+      bad_endpoint.store(true, std::memory_order_relaxed);
+    else if (e.w <= 0)
+      bad_weight.store(true, std::memory_order_relaxed);
+  });
+  if (bad_endpoint.load()) throw std::invalid_argument("edge endpoint out of range");
+  if (bad_weight.load()) throw std::invalid_argument("edge weight must be positive");
 
   CommunityGraph<V> g;
   g.nv = nv;
-  g.self_weight.assign(static_cast<std::size_t>(nv), 0);
-
-  // Validate and split off self-loops while hashing the rest into storage
-  // order.  Self-loop weights are accumulated directly (atomics: several
-  // raw self-loops can hit the same vertex).
-  std::atomic<bool> bad_endpoint{false};
-  std::atomic<bool> bad_weight{false};
-  std::vector<detail::HashedTriple<V>> triples;
-  triples.reserve(static_cast<std::size_t>(ne_raw));
-  {
-    // Count non-self edges first so the triple array is sized once.
-    const std::int64_t non_self = parallel_count(ne_raw, [&](std::int64_t i) {
-      const auto& e = input.edges[static_cast<std::size_t>(i)];
-      return e.u != e.v;
-    });
-    triples.resize(static_cast<std::size_t>(non_self));
-
-    std::atomic<std::int64_t> cursor{0};
-    parallel_for(ne_raw, [&](std::int64_t i) {
-      const auto& e = input.edges[static_cast<std::size_t>(i)];
-      if (e.u < 0 || e.u >= nv || e.v < 0 || e.v >= nv) {
-        bad_endpoint.store(true, std::memory_order_relaxed);
-        return;
-      }
-      if (e.w <= 0) {
-        bad_weight.store(true, std::memory_order_relaxed);
-        return;
-      }
-      if (e.u == e.v) {
-        std::atomic_ref<Weight>(g.self_weight[static_cast<std::size_t>(e.u)])
-            .fetch_add(e.w, std::memory_order_relaxed);
-        return;
-      }
-      const auto [f, s] = hashed_edge_order(e.u, e.v);
-      const std::int64_t at = cursor.fetch_add(1, std::memory_order_relaxed);
-      triples[static_cast<std::size_t>(at)] = {f, s, e.w};
-    });
-    if (bad_endpoint.load()) throw std::invalid_argument("edge endpoint out of range");
-    if (bad_weight.load()) throw std::invalid_argument("edge weight must be positive");
-    triples.resize(static_cast<std::size_t>(cursor.load()));
-  }
-
-  // Sort by (first, second) and accumulate duplicates into the leader of
-  // each equal run.
-  parallel_sort(triples.begin(), triples.end(),
-                [](const detail::HashedTriple<V>& a, const detail::HashedTriple<V>& b) {
-                  return a.first != b.first ? a.first < b.first : a.second < b.second;
-                });
-
-  const std::int64_t nt = static_cast<std::int64_t>(triples.size());
-  std::vector<std::int64_t> is_leader(static_cast<std::size_t>(nt), 0);
-  parallel_for(nt, [&](std::int64_t i) {
-    is_leader[static_cast<std::size_t>(i)] =
-        (i == 0 || triples[static_cast<std::size_t>(i)].first !=
-                       triples[static_cast<std::size_t>(i - 1)].first ||
-         triples[static_cast<std::size_t>(i)].second !=
-             triples[static_cast<std::size_t>(i - 1)].second)
-            ? 1
-            : 0;
-  });
-  std::vector<std::int64_t> leaders_before(is_leader);
-  const std::int64_t ne = exclusive_prefix_sum(std::span<std::int64_t>(leaders_before));
-  // Output slot of triple i: leaders before it, plus itself if it leads its
-  // run, minus one — non-leaders land on their run leader's slot.
-
-  g.efirst.assign(static_cast<std::size_t>(ne), V{});
-  g.esecond.assign(static_cast<std::size_t>(ne), V{});
-  g.eweight.assign(static_cast<std::size_t>(ne), 0);
-  parallel_for(nt, [&](std::int64_t i) {
-    const auto& t = triples[static_cast<std::size_t>(i)];
-    const auto slot = static_cast<std::size_t>(leaders_before[static_cast<std::size_t>(i)] +
-                                               is_leader[static_cast<std::size_t>(i)] - 1);
-    if (is_leader[static_cast<std::size_t>(i)] != 0) {
-      g.efirst[slot] = t.first;
-      g.esecond[slot] = t.second;
-    }
-    std::atomic_ref<Weight>(g.eweight[slot]).fetch_add(t.w, std::memory_order_relaxed);
-  });
-
-  // Buckets: edges are sorted by first vertex, so each bucket is the
-  // contiguous run of its vertex.  Histogram + prefix sum gives cursors.
-  std::vector<EdgeId> counts(static_cast<std::size_t>(nv) + 1, 0);
-  parallel_for(ne, [&](std::int64_t e) {
-    std::atomic_ref<EdgeId>(counts[static_cast<std::size_t>(g.efirst[static_cast<std::size_t>(e)])])
-        .fetch_add(1, std::memory_order_relaxed);
-  });
-  exclusive_prefix_sum(std::span<EdgeId>(counts));
-  g.bucket_begin.assign(counts.begin(), counts.end() - 1);
-  g.bucket_end.assign(static_cast<std::size_t>(nv), 0);
-  parallel_for(static_cast<std::int64_t>(nv), [&](std::int64_t v) {
-    g.bucket_end[static_cast<std::size_t>(v)] = counts[static_cast<std::size_t>(v) + 1];
-  });
-
+  accumulate_buckets(g, ne,
+                     [&](std::int64_t i) { return input.edges[static_cast<std::size_t>(i)]; });
   g.recompute_volumes();
   g.total_weight = g.compute_total_weight();
+  span.attr("edges_in", ne);
+  span.attr("edges_out", static_cast<std::int64_t>(g.num_edges()));
   return g;
 }
 

@@ -59,7 +59,7 @@ bool parse_delta_line(const std::string& line, const std::string& where,
   Weight w = 1;
   std::string wtok;
   const bool has_weight = static_cast<bool>(ls >> wtok);
-  if (has_weight) w = detail::parse_weight_token(wtok, where);
+  if (has_weight) w = detail::parse_weight_token(wtok, [&] { return where; });
 
   switch (op_tok[0]) {
     case '+':

@@ -63,7 +63,7 @@ struct SpanRecord {
 };
 
 /// Collector of spans for one run.  Thread-safe: spans may be opened and
-/// closed from any thread (the parallel reader and pregel engine trace
+/// closed from any thread (the text reader and pregel engine trace
 /// from the calling thread, but nothing forbids concurrent traces).
 class Trace {
  public:

@@ -68,6 +68,14 @@ inline constexpr std::uint32_t kShardStageSnapshotVersion = 42;
 
 namespace detail {
 
+/// One staged edge in hashed storage order.
+template <VertexId V>
+struct HashedTriple {
+  V first;
+  V second;
+  Weight w;
+};
+
 [[nodiscard]] inline std::uint64_t next_shard_file_id() noexcept {
   static std::atomic<std::uint64_t> counter{0};
   return counter.fetch_add(1, std::memory_order_relaxed);
@@ -596,7 +604,7 @@ class ShardedGraphBuilder {
                     return a.first != b2.first ? a.first < b2.first : a.second < b2.second;
                   });
 
-    // Accumulate duplicates into run leaders (same pass as the builder).
+    // Accumulate duplicates into run leaders.
     const auto nt = static_cast<std::int64_t>(triples.size());
     std::vector<std::int64_t> is_leader(static_cast<std::size_t>(nt), 0);
     parallel_for(nt, [&](std::int64_t i) {

@@ -14,9 +14,12 @@
 
 namespace commdet {
 
-/// In-place exclusive prefix sum.  Returns the total of all inputs.
-template <typename T>
-T exclusive_prefix_sum(std::span<T> values) {
+namespace detail {
+
+/// Shared body of both scans; `kInclusive` only picks whether pass 1
+/// writes the running total before or after adding the element.
+template <bool kInclusive, typename T>
+T blocked_prefix_sum(std::span<T> values) {
   const std::int64_t n = static_cast<std::int64_t>(values.size());
   if (n == 0) return T{};
 
@@ -35,12 +38,17 @@ T exclusive_prefix_sum(std::span<T> values) {
     const std::int64_t begin = tid * chunk;
     const std::int64_t end = begin + chunk < n ? begin + chunk : n;
 
-    // Pass 1: local exclusive scan of this thread's block.
+    // Pass 1: local scan of this thread's block.
     T running{};
     for (std::int64_t i = begin; i < end; ++i) {
       const T value = values[static_cast<std::size_t>(i)];
-      values[static_cast<std::size_t>(i)] = running;
-      running += value;
+      if constexpr (kInclusive) {
+        running += value;
+        values[static_cast<std::size_t>(i)] = running;
+      } else {
+        values[static_cast<std::size_t>(i)] = running;
+        running += value;
+      }
     }
     block_totals[static_cast<std::size_t>(tid) + 1] = running;
 
@@ -59,19 +67,18 @@ T exclusive_prefix_sum(std::span<T> values) {
   return block_totals[static_cast<std::size_t>(used_threads)];
 }
 
+}  // namespace detail
+
+/// In-place exclusive prefix sum.  Returns the total of all inputs.
+template <typename T>
+T exclusive_prefix_sum(std::span<T> values) {
+  return detail::blocked_prefix_sum<false>(values);
+}
+
 /// In-place inclusive prefix sum.  Returns the total of all inputs.
 template <typename T>
 T inclusive_prefix_sum(std::span<T> values) {
-  const std::int64_t n = static_cast<std::int64_t>(values.size());
-  if (n == 0) return T{};
-  const T total = exclusive_prefix_sum(values);
-  // Shift from exclusive to inclusive: add each original element back.
-  // Cheaper: recompute by shifting left and appending the total.
-#pragma omp parallel for schedule(static)
-  for (std::int64_t i = 0; i < n - 1; ++i)
-    values[static_cast<std::size_t>(i)] = values[static_cast<std::size_t>(i) + 1];
-  values[static_cast<std::size_t>(n) - 1] = total;
-  return total;
+  return detail::blocked_prefix_sum<true>(values);
 }
 
 }  // namespace commdet

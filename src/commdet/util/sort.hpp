@@ -1,9 +1,9 @@
 // Parallel merge sort over random-access ranges.
 //
-// Used by the graph builder to order edge triples by (first, second)
-// before deduplication.  Recursive task-based merge sort: std::sort at the
-// leaves, std::inplace_merge on the way up.  Deterministic (stability is
-// irrelevant here: we sort by full keys).
+// Used to normalize delta batches, to find duplicate edges when
+// sanitizing input, and by the sharded builder.  Recursive task-based
+// merge sort: std::sort at the leaves, std::inplace_merge on the way up.
+// Deterministic (stability is irrelevant here: we sort by full keys).
 #pragma once
 
 #include <omp.h>

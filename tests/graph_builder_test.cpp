@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
+#include <omp.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
+#include <vector>
 
+#include "commdet/gen/rmat.hpp"
 #include "commdet/graph/builder.hpp"
 #include "commdet/graph/stats.hpp"
 #include "commdet/graph/validate.hpp"
@@ -116,6 +120,86 @@ TYPED_TEST(BuilderTypedTest, MemoryFootprintMatchesPaperBudget) {
   if constexpr (std::is_same_v<V, std::int32_t>) {
     EXPECT_LT(g.memory_bytes(), 100 * 32 + 99 * 24);
   }
+}
+
+// The builder's arrays are canonical: hashed edges sorted by (first,
+// second), repeated pairs summed, self-loops folded into self_weight.
+// This reference computes them with one serial std::sort of the triples.
+template <VertexId V>
+CommunityGraph<V> sort_reference_build(const EdgeList<V>& el) {
+  struct Triple {
+    V first;
+    V second;
+    Weight w;
+  };
+  CommunityGraph<V> g;
+  g.nv = el.num_vertices;
+  g.self_weight.assign(static_cast<std::size_t>(g.nv), 0);
+  std::vector<Triple> triples;
+  for (const auto& e : el.edges) {
+    if (e.u == e.v) {
+      g.self_weight[static_cast<std::size_t>(e.u)] += e.w;
+      continue;
+    }
+    const auto [f, s] = hashed_edge_order(e.u, e.v);
+    triples.push_back({f, s, e.w});
+  }
+  std::sort(triples.begin(), triples.end(), [](const Triple& a, const Triple& b) {
+    return a.first != b.first ? a.first < b.first : a.second < b.second;
+  });
+  for (const Triple& t : triples) {
+    if (!g.efirst.empty() && g.efirst.back() == t.first && g.esecond.back() == t.second) {
+      g.eweight.back() += t.w;
+      continue;
+    }
+    g.efirst.push_back(t.first);
+    g.esecond.push_back(t.second);
+    g.eweight.push_back(t.w);
+  }
+  g.bucket_begin.assign(static_cast<std::size_t>(g.nv), 0);
+  g.bucket_end.assign(static_cast<std::size_t>(g.nv), 0);
+  EdgeId at = 0;
+  for (V v = 0; v < g.nv; ++v) {
+    g.bucket_begin[static_cast<std::size_t>(v)] = at;
+    while (at < g.num_edges() && g.efirst[static_cast<std::size_t>(at)] == v) ++at;
+    g.bucket_end[static_cast<std::size_t>(v)] = at;
+  }
+  g.recompute_volumes();
+  g.total_weight = g.compute_total_weight();
+  return g;
+}
+
+TYPED_TEST(BuilderTypedTest, MatchesSortReferenceOnRmatAtOneAndFourThreads) {
+  using V = TypeParam;
+  RmatParams params;
+  params.scale = 12;
+  params.edge_factor = 8;
+  params.seed = 5;
+  auto el = generate_rmat<V>(params);
+  // R-MAT draws repeated pairs on its own; add explicit self-loops and
+  // weighted repeats on top so every fold path runs.
+  for (V v = 0; v < 64; ++v) el.add(v, v, 1 + v % 3);
+  for (V v = 0; v < 64; ++v) el.add(v + 1, v, 2);
+  for (V v = 0; v < 64; ++v) el.add(v, v + 1, 3);
+  const auto expected = sort_reference_build(el);
+  ASSERT_LT(expected.num_edges(), el.num_edges() - 192);  // repeats were folded
+
+  const int saved = omp_get_max_threads();
+  for (const int threads : {1, 4}) {
+    omp_set_num_threads(threads);
+    const auto g = build_community_graph(el);
+    const auto check = validate_graph(g);
+    EXPECT_TRUE(check.ok()) << threads << " threads: " << check.error;
+    EXPECT_EQ(g.efirst, expected.efirst) << threads << " threads";
+    EXPECT_EQ(g.esecond, expected.esecond) << threads << " threads";
+    EXPECT_EQ(g.eweight, expected.eweight) << threads << " threads";
+    EXPECT_EQ(g.bucket_begin, expected.bucket_begin) << threads << " threads";
+    EXPECT_EQ(g.bucket_end, expected.bucket_end) << threads << " threads";
+    EXPECT_EQ(g.self_weight, expected.self_weight) << threads << " threads";
+    EXPECT_EQ(g.volume, expected.volume) << threads << " threads";
+    EXPECT_EQ(g.total_weight, expected.total_weight) << threads << " threads";
+  }
+  omp_set_num_threads(saved);
 }
 
 // Property sweep: random multigraphs of varying density build into valid

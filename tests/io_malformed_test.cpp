@@ -2,7 +2,7 @@
 // surface as a structured CommdetError (machine-readable code, phase
 // kInput, locating detail) — never a silent misparse, never a crash.
 #include <gtest/gtest.h>
-
+#include <omp.h>
 #include <unistd.h>
 
 #include <cstdint>
@@ -16,7 +16,6 @@
 #include "commdet/io/edge_list_text.hpp"
 #include "commdet/io/matrix_market.hpp"
 #include "commdet/io/metis.hpp"
-#include "commdet/io/parallel_edge_list.hpp"
 #include "commdet/robust/error.hpp"
 
 namespace commdet {
@@ -116,7 +115,21 @@ TEST_F(IoMalformedTest, TextMissingFileIsIoOpen) {
                     [&] { (void)read_edge_list_text<V32>(path("nope.txt")); });
 }
 
-// The parallel reader must reject exactly what the sequential one does.
+// Runs `read` with an OpenMP team of `threads`.
+void with_threads(int threads, const std::function<void()>& read) {
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(threads);
+  try {
+    read();
+  } catch (...) {
+    omp_set_num_threads(saved);
+    throw;
+  }
+  omp_set_num_threads(saved);
+}
+
+// The reader rejects the same inputs with the same code whatever its
+// team size, and locates each error by line and byte.
 TEST_F(IoMalformedTest, ParallelTextMatchesSequentialRejections) {
   const struct {
     const char* content;
@@ -131,14 +144,20 @@ TEST_F(IoMalformedTest, ParallelTextMatchesSequentialRejections) {
       {"foo bar\n", ErrorCode::kIoParse},
       {"0 -1\n", ErrorCode::kBadEndpoint},
       {"0 4294967296\n", ErrorCode::kIdOverflow},
+      {"99999999999999999999 1\n", ErrorCode::kIdOverflow},
+      {"0 2147483647\n", ErrorCode::kIdOverflow},  // max id + 1 vertices overflow
   };
   int i = 0;
   for (const auto& c : corpus) {
     const auto p = path("c" + std::to_string(i++) + ".txt");
-    write_file(p, c.content);
-    expect_structured(c.code, "", [&] { (void)read_edge_list_text<V32>(p); });
-    expect_structured(c.code, "byte",
-                      [&] { (void)read_edge_list_text_parallel<V32>(p); });
+    write_file(p, std::string("# leading comment\n") + c.content);
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(std::to_string(threads) + " threads: " + c.content);
+      with_threads(threads, [&] {
+        expect_structured(c.code, ":2", [&] { (void)read_edge_list_text<V32>(p); });
+        expect_structured(c.code, "byte", [&] { (void)read_edge_list_text<V32>(p); });
+      });
+    }
   }
 }
 
@@ -151,8 +170,10 @@ TEST_F(IoMalformedTest, ParallelTextReportsEarliestError) {
   content += "2 3 bogus\n";
   const auto p = path("two_bad.txt");
   write_file(p, content);
-  expect_structured(ErrorCode::kBadWeight, "byte 4",
-                    [&] { (void)read_edge_list_text_parallel<V32>(p); });
+  with_threads(4, [&] {
+    expect_structured(ErrorCode::kBadWeight, ":1 (byte 4)",
+                      [&] { (void)read_edge_list_text<V32>(p); });
+  });
 }
 
 // -------------------------------------------------------------- binary
@@ -328,8 +349,6 @@ TEST_F(IoMalformedTest, ValidInputsStillParse) {
   const auto t = read_edge_list_text<V32>(path("ok.txt"));
   EXPECT_EQ(t.num_edges(), 2);
   EXPECT_EQ(t.edges[0].w, 2);
-  const auto tp = read_edge_list_text_parallel<V32>(path("ok.txt"));
-  EXPECT_EQ(tp.num_edges(), 2);
 
   write_file(path("ok.mtx"),
              "%%MatrixMarket matrix coordinate integer general\n2 2 1\n1 2 3\n");

@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
+#include <omp.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "commdet/gen/erdos_renyi.hpp"
+#include "commdet/gen/rmat.hpp"
 #include "commdet/gen/simple_graphs.hpp"
 #include "commdet/graph/builder.hpp"
 #include "commdet/graph/validate.hpp"
@@ -15,7 +19,6 @@
 #include "commdet/io/edge_list_text.hpp"
 #include "commdet/io/matrix_market.hpp"
 #include "commdet/io/metis.hpp"
-#include "commdet/io/parallel_edge_list.hpp"
 #include "commdet/io/partition.hpp"
 
 namespace commdet {
@@ -175,11 +178,26 @@ TEST_F(IoTest, MatrixMarketRejectsUnsupported) {
   EXPECT_THROW((void)read_matrix_market<std::int32_t>(path("r.mtx")), std::runtime_error);
 }
 
+// Reads `p` with an OpenMP team of `threads`, one chunk per thread.
+template <VertexId V>
+EdgeList<V> read_text_at(int threads, const std::string& p) {
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(threads);
+  try {
+    auto g = read_edge_list_text<V>(p);
+    omp_set_num_threads(saved);
+    return g;
+  } catch (...) {
+    omp_set_num_threads(saved);
+    throw;
+  }
+}
+
 TEST_F(IoTest, ParallelReaderMatchesSequentialExactly) {
   const auto g = generate_erdos_renyi<std::int32_t>(500, 20000, 13);
   write_edge_list_text(g, path("g.txt"));
-  const auto seq = read_edge_list_text<std::int32_t>(path("g.txt"));
-  const auto par = read_edge_list_text_parallel<std::int32_t>(path("g.txt"));
+  const auto seq = read_text_at<std::int32_t>(1, path("g.txt"));
+  const auto par = read_text_at<std::int32_t>(4, path("g.txt"));
   EXPECT_EQ(par.num_vertices, seq.num_vertices);
   EXPECT_EQ(par.edges, seq.edges);
 }
@@ -192,27 +210,99 @@ TEST_F(IoTest, ParallelReaderHandlesCommentsWeightsAndNoTrailingNewline) {
              "1 2 5\n"
              "\n"
              "4 0 2");  // no trailing newline
-  const auto g = read_edge_list_text_parallel<std::int32_t>(path("g.txt"));
+  const auto g = read_edge_list_text<std::int32_t>(path("g.txt"));
   EXPECT_EQ(g.num_vertices, 5);
   ASSERT_EQ(g.num_edges(), 3);
   EXPECT_EQ(g.edges[1].w, 5);
   EXPECT_EQ(g.edges[2].w, 2);
 }
 
+// A file whose lines straddle every chunk boundary of every team size
+// from 2 to 4, mixing comments, CRLF and LF endings, blank lines, and
+// weights, with no trailing newline: every team reads the same list.
+TEST_F(IoTest, ReaderIsIdenticalAtEveryThreadCount) {
+  EdgeList<std::int64_t> expected;
+  std::vector<std::string> lines;
+  std::vector<std::size_t> data_lines;  // indices into `lines`
+  for (std::int64_t i = 0; i < 300; ++i) {
+    const std::int64_t u = (i * 7919) % 1000, v = (i * 104729 + 3) % 100000;
+    const std::string eol = i % 3 == 0 ? "\r\n" : "\n";
+    if (i % 17 == 0) lines.push_back("# comment " + std::to_string(i) + eol);
+    if (i % 23 == 0) lines.push_back(i % 2 == 0 ? "\r\n" : "\n");
+    if (i % 29 == 0) lines.push_back("% other comment" + eol);
+    const Weight w = i % 4 == 0 ? 1 : 1 + i % 9;
+    data_lines.push_back(lines.size());
+    lines.push_back(std::to_string(u) + (i % 5 == 0 ? "\t" : " ") + std::to_string(v) +
+                    (i % 4 == 0 ? "" : " " + std::to_string(w)) + eol);
+    expected.add(u, v, w);
+    expected.num_vertices = std::max(expected.num_vertices, std::max(u, v) + 1);
+  }
+  lines.back().erase(lines.back().find_last_not_of("\r\n") + 1);  // no trailing newline
+
+  // Pad lines until no chunk cut of a 2-, 3- or 4-thread read falls on a
+  // line start, so each cut has to move to the next line.
+  std::string content;
+  for (int round = 0;; ++round) {
+    ASSERT_LT(round, 1000);
+    content.clear();
+    std::vector<std::size_t> starts;
+    for (const auto& l : lines) {
+      starts.push_back(content.size());
+      content += l;
+    }
+    std::size_t bad = lines.size();
+    for (std::size_t t = 2; t <= 4 && bad == lines.size(); ++t)
+      for (std::size_t c = 1; c < t; ++c) {
+        const std::size_t cut = content.size() * c / t;
+        const auto it = std::find(starts.begin(), starts.end(), cut);
+        if (it != starts.end()) {
+          bad = static_cast<std::size_t>(it - starts.begin());
+          break;
+        }
+      }
+    if (bad == lines.size()) break;
+    // Shift the cut by one leading blank on the data line before it.
+    const auto before = std::lower_bound(data_lines.begin(), data_lines.end(), bad);
+    lines[before == data_lines.begin() ? data_lines.front() : *(before - 1)].insert(0, 1, ' ');
+  }
+  write_file(path("g.txt"), content);
+  for (const int threads : {1, 2, 3, 4}) {
+    const auto g = read_text_at<std::int64_t>(threads, path("g.txt"));
+    EXPECT_EQ(g.num_vertices, expected.num_vertices) << threads << " threads";
+    EXPECT_EQ(g.edges, expected.edges) << threads << " threads";
+  }
+}
+
+TEST_F(IoTest, TextRoundTripOfRmatMultigraphAtEveryThreadCount) {
+  RmatParams params;
+  params.scale = 12;
+  params.edge_factor = 4;
+  auto g = generate_rmat<std::int64_t>(params);  // self-loops and repeated pairs
+  for (std::size_t i = 0; i < g.edges.size(); i += 7)
+    g.edges[i].w = 1 + static_cast<Weight>(i % 11);
+  // The text format has no vertex count: the reader's is max id + 1.
+  g.num_vertices = 0;
+  for (const auto& e : g.edges) g.num_vertices = std::max({g.num_vertices, e.u + 1, e.v + 1});
+  write_edge_list_text(g, path("g.txt"));
+  for (const int threads : {1, 4}) {
+    const auto back = read_text_at<std::int64_t>(threads, path("g.txt"));
+    EXPECT_EQ(back.num_vertices, g.num_vertices) << threads << " threads";
+    EXPECT_EQ(back.edges, g.edges) << threads << " threads";
+  }
+}
+
 TEST_F(IoTest, ParallelReaderRejectsMalformedInput) {
   write_file(path("bad.txt"), "0 zebra\n");
-  EXPECT_THROW((void)read_edge_list_text_parallel<std::int32_t>(path("bad.txt")),
-               std::runtime_error);
+  EXPECT_THROW((void)read_edge_list_text<std::int32_t>(path("bad.txt")), std::runtime_error);
   write_file(path("neg.txt"), "0 -4\n");
-  EXPECT_THROW((void)read_edge_list_text_parallel<std::int32_t>(path("neg.txt")),
-               std::runtime_error);
-  EXPECT_THROW((void)read_edge_list_text_parallel<std::int32_t>(path("missing2.txt")),
+  EXPECT_THROW((void)read_edge_list_text<std::int32_t>(path("neg.txt")), std::runtime_error);
+  EXPECT_THROW((void)read_edge_list_text<std::int32_t>(path("missing2.txt")),
                std::runtime_error);
 }
 
 TEST_F(IoTest, ParallelReaderEmptyFile) {
   write_file(path("empty.txt"), "");
-  const auto g = read_edge_list_text_parallel<std::int32_t>(path("empty.txt"));
+  const auto g = read_edge_list_text<std::int32_t>(path("empty.txt"));
   EXPECT_EQ(g.num_vertices, 0);
   EXPECT_EQ(g.num_edges(), 0);
 }

@@ -644,7 +644,7 @@ TEST(FaultInjection, DroppedLinkMidRecordReconnectsAndCatchesUp) {
           auto reply = follower.handle_repl_line(line);
           if (!reply.has_value()) continue;
           const std::string out = *reply + "\n";
-          if (::write(fd, out.data(), out.size()) < 0) break;
+          if (::send(fd, out.data(), out.size(), MSG_NOSIGNAL) < 0) break;
         }
       }
       ::close(fd);
@@ -673,8 +673,14 @@ TEST(FaultInjection, DroppedLinkMidRecordReconnectsAndCatchesUp) {
   }
   const auto wsnap = (*svc)->snapshot();
 
+  // The follower applies an epoch before the writer's link thread reads
+  // its ACK, so wait for both sides before sampling the link status.
+  const auto acked = [&] {
+    const auto s = (*svc)->replication()->status();
+    return s.empty() ? std::int64_t{-1} : s[0].acked_epoch;
+  };
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  while (follower.epoch() < wsnap->epoch &&
+  while ((follower.epoch() < wsnap->epoch || acked() < wsnap->epoch) &&
          std::chrono::steady_clock::now() < deadline)
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_EQ(follower.epoch(), wsnap->epoch);
