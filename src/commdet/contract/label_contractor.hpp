@@ -4,10 +4,11 @@
 // This is the paper's bucket-sort contraction generalized from "each
 // community absorbs at most one partner" to "any vertex -> community
 // map": counting pass, scatter into first-vertex buckets, per-bucket
-// sort-and-accumulate, contiguous copy-back.  That kernel is
+// sort-and-accumulate, contiguous copy-out.  That kernel is
 // accumulate_buckets() in graph/builder.hpp, the same one that builds
-// the input graph, so every placement invariant of CommunityGraph
-// (hashed edge order, sorted buckets) holds by construction.
+// the input graph and contracts every agglomeration level, so every
+// placement invariant of CommunityGraph (hashed edge order, sorted
+// buckets) holds by construction.
 //
 // Two subsystems share it: the dyn/ warm-start path (contract the
 // surviving assignment into a seeded community graph) and the parallel

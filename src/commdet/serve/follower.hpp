@@ -509,7 +509,11 @@ class FollowerService {
     arm_lease_locked(last_lease_ms_);  // shipped records prove liveness, like HBs
     auto rec = assembler_.feed(line);  // throws typed errors on bad framing/CRC
     if (!rec) return std::nullopt;
-    return apply_record_locked(*rec);
+    auto reply = apply_record_locked(*rec);
+    // Re-arm once the record has landed: the time this follower spends
+    // applying it is its own, not silence from the writer.
+    arm_lease_locked(last_lease_ms_);
+    return reply;
   }
 
   [[nodiscard]] std::optional<std::string> handle_snap_locked(std::istringstream& ls,
