@@ -30,6 +30,7 @@
 #include <utility>
 #include <vector>
 
+#include "commdet/graph/builder.hpp"
 #include "commdet/match/matching.hpp"
 #include "commdet/obs/metrics.hpp"
 #include "commdet/shard/sharded_graph.hpp"
@@ -225,8 +226,11 @@ template <VertexId V>
   if (c_edges_in != nullptr) c_edges_in->add(edges_in);
   if (c_edges_out != nullptr) c_edges_out->add(static_cast<std::int64_t>(edges_out));
   if (c_bytes != nullptr) {
-    const auto per_edge = static_cast<std::int64_t>(sizeof(V) + sizeof(Weight));
-    c_bytes->add(2 * per_edge * static_cast<std::int64_t>(live));
+    // Histograms: the bucket counts plus the group cursors, one EdgeId per
+    // coarse vertex each; slots: the second and weight scratch arrays.
+    const auto hist_bytes = static_cast<std::int64_t>(sizeof(EdgeId)) * (2 * n_new + 1);
+    c_bytes->add(contraction_bytes_moved<V>(hist_bytes, sizeof(V) + sizeof(Weight), live,
+                                            static_cast<std::int64_t>(edges_out)));
   }
   return out;
 }
