@@ -1,14 +1,18 @@
 // Google-benchmark microbenchmarks of the parallel primitives the
 // algorithm is built from: prefix sum, compaction, histogram, parallel
-// sort, R-MAT generation, scoring, matching, contraction.
+// sort, R-MAT generation, scoring, matching, contraction, and the
+// checksummed I/O path (CRC32 kernel, binary edge-list reader).
 //
 // These quantify the per-primitive costs behind the paper's phase-level
 // claims and catch performance regressions in the substrate.
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <numeric>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "commdet/cc/connected_components.hpp"
@@ -16,6 +20,8 @@
 #include "commdet/contract/hash_chain_contractor.hpp"
 #include "commdet/gen/rmat.hpp"
 #include "commdet/graph/builder.hpp"
+#include "commdet/io/binary.hpp"
+#include "commdet/io/snapshot.hpp"
 #include "commdet/match/edge_sweep_matcher.hpp"
 #include "commdet/match/unmatched_list_matcher.hpp"
 #include "commdet/obs/metrics.hpp"
@@ -173,6 +179,34 @@ void BM_ScoreEdgesObsEnabled(benchmark::State& state) {
   state.SetItemsProcessed(f.graph.num_edges() * state.iterations());
 }
 BENCHMARK(BM_ScoreEdgesObsEnabled);
+
+// The one CRC32 of the library (snapshots, spill blocks, binary edge
+// lists, WAL): bytes/s on a cache-resident and a memory-resident buffer.
+void BM_Crc32(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<unsigned char> buf(n);
+  for (std::size_t i = 0; i < n; ++i) buf[i] = static_cast<unsigned char>(i * 131 + 7);
+  for (auto _ : state) benchmark::DoNotOptimize(crc32_update(0, buf.data(), buf.size()));
+  state.SetBytesProcessed(static_cast<std::int64_t>(n) * state.iterations());
+}
+BENCHMARK(BM_Crc32)->Arg(1 << 20)->Arg(64 << 20);
+
+// A scale-16 R-MAT binary edge list (12 MB) read back from the page
+// cache: chunked reads, CRC verification, endpoint checks.
+void BM_ReadEdgeListBinary(benchmark::State& state) {
+  RmatParams p;
+  p.scale = 16;
+  p.edge_factor = 8;
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            ("commdet_bench_" + std::to_string(::getpid()) + ".bin"))
+                               .string();
+  write_edge_list_binary(generate_rmat<V>(p), path);
+  const auto bytes = static_cast<std::int64_t>(std::filesystem::file_size(path));
+  for (auto _ : state) benchmark::DoNotOptimize(read_edge_list_binary<V>(path));
+  std::filesystem::remove(path);
+  state.SetBytesProcessed(bytes * state.iterations());
+}
+BENCHMARK(BM_ReadEdgeListBinary);
 
 }  // namespace
 

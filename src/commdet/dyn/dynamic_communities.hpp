@@ -18,6 +18,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <filesystem>
@@ -359,9 +360,11 @@ class DynamicCommunities {
   /// independent, like the on-disk array encoding.
   [[nodiscard]] static std::uint32_t labels_checksum(std::span<const V> labels) noexcept {
     std::uint32_t crc = 0;
-    for (const V l : labels) {
-      const auto wide = static_cast<std::int64_t>(l);
-      crc = crc32_update(crc, &wide, sizeof wide);
+    std::array<std::int64_t, 4096> chunk;
+    for (std::size_t i = 0; i < labels.size(); i += chunk.size()) {
+      const std::size_t n = std::min(chunk.size(), labels.size() - i);
+      for (std::size_t k = 0; k < n; ++k) chunk[k] = static_cast<std::int64_t>(labels[i + k]);
+      crc = crc32_update(crc, chunk.data(), n * sizeof(std::int64_t));
     }
     return crc;
   }

@@ -16,6 +16,7 @@
 // blind multi-gigabyte allocation or a long doomed parse.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstring>
@@ -35,6 +36,9 @@ namespace detail {
 inline constexpr std::array<char, 8> kBinaryMagicV1 = {'C', 'D', 'E', 'L', '0', '0', '0', '1'};
 inline constexpr std::array<char, 8> kBinaryMagic = {'C', 'D', 'E', 'L', '0', '0', '0', '2'};
 inline constexpr std::int64_t kBinaryTripleBytes = 3 * 8;
+/// Triples per read/write chunk: one 96-KiB buffer, reused, so every
+/// CRC call and stream call covers a whole chunk.
+inline constexpr std::size_t kBinaryChunkTriples = 4096;
 }  // namespace detail
 
 /// Writes the v2 binary snapshot (with CRC32 trailer).
@@ -53,9 +57,16 @@ void write_edge_list_binary(const EdgeList<V>& g, const std::string& path) {
   const std::int64_t ne = g.num_edges();
   put(&nv, sizeof nv);
   put(&ne, sizeof ne);
-  for (const auto& e : g.edges) {
-    const std::int64_t triple[3] = {e.u, e.v, e.w};
-    put(triple, sizeof triple);
+  std::vector<std::int64_t> chunk(3 * detail::kBinaryChunkTriples);
+  for (std::size_t i = 0; i < g.edges.size(); i += detail::kBinaryChunkTriples) {
+    const std::size_t n = std::min(detail::kBinaryChunkTriples, g.edges.size() - i);
+    for (std::size_t k = 0; k < n; ++k) {
+      const auto& e = g.edges[i + k];
+      chunk[3 * k] = e.u;
+      chunk[3 * k + 1] = e.v;
+      chunk[3 * k + 2] = e.w;
+    }
+    put(chunk.data(), n * detail::kBinaryTripleBytes);
   }
   out.write(reinterpret_cast<const char*>(&crc), sizeof crc);
   out.flush();
@@ -105,14 +116,21 @@ template <VertexId V>
   EdgeList<V> out;
   out.num_vertices = static_cast<V>(nv);
   out.edges.resize(static_cast<std::size_t>(ne));
-  for (auto& e : out.edges) {
-    std::int64_t triple[3] = {0, 0, 0};
-    if (!get(triple, sizeof triple))
+  // Per chunk: read, checksum, then range-check and narrow.  An
+  // out-of-range endpoint therefore surfaces before a checksum mismatch
+  // in a later chunk or the trailer.
+  std::vector<std::int64_t> chunk(3 * detail::kBinaryChunkTriples);
+  for (std::size_t i = 0; i < out.edges.size(); i += detail::kBinaryChunkTriples) {
+    const std::size_t n = std::min(detail::kBinaryChunkTriples, out.edges.size() - i);
+    if (!get(chunk.data(), n * detail::kBinaryTripleBytes))
       throw_error(ErrorCode::kIoRead, Phase::kInput, "truncated binary edge list: " + path);
-    const std::int64_t u = triple[0], v = triple[1], w = triple[2];
-    if (u < 0 || u >= nv || v < 0 || v >= nv)
-      throw_error(ErrorCode::kBadEndpoint, Phase::kInput, "edge endpoint out of range in: " + path);
-    e = {static_cast<V>(u), static_cast<V>(v), w};
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::int64_t u = chunk[3 * k], v = chunk[3 * k + 1], w = chunk[3 * k + 2];
+      if (u < 0 || u >= nv || v < 0 || v >= nv)
+        throw_error(ErrorCode::kBadEndpoint, Phase::kInput,
+                    "edge endpoint out of range in: " + path);
+      out.edges[i + k] = {static_cast<V>(u), static_cast<V>(v), w};
+    }
   }
   if (v2) {
     std::uint32_t stored = 0;

@@ -52,6 +52,7 @@
 #include "commdet/util/parallel.hpp"
 #include "commdet/util/prefix_sum.hpp"
 #include "commdet/util/sort.hpp"
+#include "commdet/util/timer.hpp"
 #include "commdet/util/types.hpp"
 
 namespace commdet {
@@ -242,6 +243,7 @@ struct ShardedGraph {
   void ensure_resident(int s) {
     auto& b = shards[static_cast<std::size_t>(s)];
     if (b.resident) return;
+    const WallTimer timer;
     SnapshotReader r(b.spill_path, kShardBlockSnapshotVersion);
     const auto lo = static_cast<V>(r.read_i64());
     const auto hi = static_cast<V>(r.read_i64());
@@ -260,6 +262,8 @@ struct ShardedGraph {
     if (obs::Counter* c = obs::counter("shard.spill.reads")) c->add(1);
     if (obs::Counter* c = obs::counter("shard.spill.read_bytes"))
       c->add(static_cast<std::int64_t>(b.array_bytes()));
+    if (obs::Counter* c = obs::counter("shard.spill.read_us"))
+      c->add(static_cast<std::int64_t>(timer.seconds() * 1e6));
   }
 
   /// Releases a block after a pass.  No-op without spill; otherwise the
@@ -322,6 +326,7 @@ struct ShardedGraph {
       b.spill_path = spill.directory + "/blk-" +
                      std::to_string(detail::next_shard_file_id()) + ".shard";
     }
+    const WallTimer timer;
     SnapshotWriter w(b.spill_path, kShardBlockSnapshotVersion);
     w.write_i64(static_cast<std::int64_t>(b.lo));
     w.write_i64(static_cast<std::int64_t>(b.hi));
@@ -336,6 +341,8 @@ struct ShardedGraph {
     if (obs::Counter* c = obs::counter("shard.spill.writes")) c->add(1);
     if (obs::Counter* c = obs::counter("shard.spill.write_bytes"))
       c->add(static_cast<std::int64_t>(w.payload_size()));
+    if (obs::Counter* c = obs::counter("shard.spill.write_us"))
+      c->add(static_cast<std::int64_t>(timer.seconds() * 1e6));
   }
 };
 

@@ -259,6 +259,41 @@ TEST_F(IoMalformedTest, BinaryTruncatedHeaderIsIoFormat) {
                     [&] { (void)read_edge_list_binary<V32>(path("g.bin")); });
 }
 
+/// A valid v2 file of `ne` edges over 100 vertices, then one byte of
+/// triple `edge` at byte `field_offset` within it XORed with `mask`.
+void write_patched_binary(const std::string& p, std::size_t ne, std::size_t edge,
+                          std::size_t field_offset, char mask) {
+  EdgeList<V32> g;
+  g.num_vertices = 100;
+  for (std::size_t i = 0; i < ne; ++i)
+    g.add(static_cast<V32>(i % 100), static_cast<V32>((i * 31 + 1) % 100), 1);
+  write_edge_list_binary(g, p);
+  std::fstream f(p, std::ios::in | std::ios::out | std::ios::binary);
+  const auto at = static_cast<std::streamoff>(24 + 24 * edge + field_offset);
+  char byte = 0;
+  f.seekg(at);
+  f.read(&byte, 1);
+  byte = static_cast<char>(byte ^ mask);
+  f.seekp(at);
+  f.write(&byte, 1);
+}
+
+TEST_F(IoMalformedTest, BinaryBadEndpointInSecondChunkBeatsChecksum) {
+  // The patch also breaks the trailer CRC, but endpoints are checked as
+  // each chunk arrives, before the trailer is compared.
+  constexpr std::size_t C = detail::kBinaryChunkTriples;
+  write_patched_binary(path("g.bin"), C + 10, C + 3, 8 + 7, 0x40);  // v's top byte
+  expect_structured(ErrorCode::kBadEndpoint, "out of range",
+                    [&] { (void)read_edge_list_binary<V32>(path("g.bin")); });
+}
+
+TEST_F(IoMalformedTest, BinaryBitFlipInLastChunkFailsChecksum) {
+  constexpr std::size_t C = detail::kBinaryChunkTriples;
+  write_patched_binary(path("g.bin"), 2 * C + 5, 2 * C + 4, 16, 0x08);  // last weight
+  expect_structured(ErrorCode::kIoFormat, "checksum",
+                    [&] { (void)read_edge_list_binary<V32>(path("g.bin")); });
+}
+
 TEST_F(IoMalformedTest, BinaryMissingFileIsIoOpen) {
   expect_structured(ErrorCode::kIoOpen, "cannot open",
                     [&] { (void)read_edge_list_binary<V32>(path("nope.bin")); });

@@ -4,8 +4,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -20,6 +23,7 @@
 #include "commdet/io/matrix_market.hpp"
 #include "commdet/io/metis.hpp"
 #include "commdet/io/partition.hpp"
+#include "commdet/io/snapshot.hpp"
 
 namespace commdet {
 namespace {
@@ -88,6 +92,64 @@ TEST_F(IoTest, BinaryRoundTripPreservesEdges) {
   const auto back = read_edge_list_binary<std::int64_t>(path("g.bin"));
   EXPECT_EQ(back.num_vertices, g.num_vertices);
   EXPECT_EQ(back.edges, g.edges);
+}
+
+std::vector<unsigned char> read_bytes(const std::string& p) {
+  std::ifstream in(p, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// CRC-32 one bit at a time straight from the reflected polynomial: the
+/// reference crc32_update must equal at every length, offset and seed.
+std::uint32_t reference_crc32(std::uint32_t crc, const unsigned char* p, std::size_t n) {
+  crc = ~crc;
+  for (std::size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) crc = (crc & 1) ? 0xedb88320u ^ (crc >> 1) : crc >> 1;
+  }
+  return ~crc;
+}
+
+std::vector<unsigned char> random_bytes(std::size_t n, unsigned seed) {
+  std::mt19937 rng(seed);
+  std::vector<unsigned char> out(n);
+  for (auto& b : out) b = static_cast<unsigned char>(rng());
+  return out;
+}
+
+std::uint32_t load_u32(const std::vector<unsigned char>& bytes, std::size_t at) {
+  std::uint32_t v = 0;
+  std::memcpy(&v, bytes.data() + at, sizeof v);
+  return v;
+}
+
+TEST_F(IoTest, BinaryRoundTripAtChunkBoundaries) {
+  // Edge counts around the reader's chunk size C, at both label widths;
+  // the trailer must also be the reference CRC of the counts and triples.
+  constexpr auto C = static_cast<std::int64_t>(detail::kBinaryChunkTriples);
+  const auto round_trip = [&](auto label) {
+    using V = decltype(label);
+    const std::int64_t nv = sizeof(V) == 8 ? std::int64_t{1} << 33 : 1000;
+    for (const std::int64_t ne : {std::int64_t{0}, std::int64_t{1}, C - 1, C, C + 1, 2 * C + 5}) {
+      EdgeList<V> g;
+      g.num_vertices = static_cast<V>(nv);
+      for (std::int64_t i = 0; i < ne; ++i)
+        g.add(static_cast<V>((i * 7919) % nv), static_cast<V>(nv - 1 - i % nv),
+              (i + 1) * 1000003);
+      const std::string p = path("chunk.bin");
+      write_edge_list_binary(g, p);
+      const auto back = read_edge_list_binary<V>(p);
+      EXPECT_EQ(back.num_vertices, g.num_vertices) << "ne=" << ne;
+      EXPECT_EQ(back.edges, g.edges) << "ne=" << ne;
+      const auto bytes = read_bytes(p);
+      ASSERT_EQ(bytes.size(), std::size_t{8 + 16 + 4} + 24 * static_cast<std::size_t>(ne));
+      EXPECT_EQ(load_u32(bytes, bytes.size() - 4),
+                reference_crc32(0, bytes.data() + 8, bytes.size() - 12))
+          << "ne=" << ne;
+    }
+  };
+  round_trip(std::int32_t{0});
+  round_trip(std::int64_t{0});
 }
 
 TEST_F(IoTest, BinaryRejectsCorruptFiles) {
@@ -332,6 +394,75 @@ TEST_F(IoTest, PartitionReadersRejectMalformedInput) {
   EXPECT_THROW((void)read_partition_dimacs<std::int32_t>(path("neg.txt")), std::runtime_error);
   EXPECT_THROW((void)read_partition_dimacs<std::int32_t>(path("missing.txt")),
                std::runtime_error);
+}
+
+// ------------------------------------------------------------- crc32
+
+TEST(Crc32, CheckValue) {
+  const char* check = "123456789";
+  EXPECT_EQ(crc32_update(0, check, 9), 0xCBF43926u);
+  EXPECT_EQ(crc32_update(0, check, 0), 0u);
+}
+
+TEST(Crc32, EveryLengthAndOffsetMatchesBitwiseReference) {
+  // Unaligned starts and lengths on both sides of the 16-byte step, from
+  // a zero and a non-zero running CRC.
+  const auto buf = random_bytes(256 + 16, 1);
+  for (std::size_t off = 0; off < 16; ++off)
+    for (std::size_t len = 0; len <= 256; ++len)
+      for (const std::uint32_t seed : {0u, 0x9e3779b9u}) {
+        const unsigned char* p = buf.data() + off;
+        ASSERT_EQ(crc32_update(seed, p, len), reference_crc32(seed, p, len))
+            << "offset " << off << " length " << len << " seed " << seed;
+      }
+}
+
+TEST(Crc32, ChainsAtEverySplitPoint) {
+  const auto buf = random_bytes(1024, 2);
+  const std::uint32_t whole = crc32_update(0, buf.data(), buf.size());
+  ASSERT_EQ(whole, reference_crc32(0, buf.data(), buf.size()));
+  for (std::size_t split = 0; split <= buf.size(); ++split)
+    ASSERT_EQ(crc32_update(crc32_update(0, buf.data(), split), buf.data() + split,
+                           buf.size() - split),
+              whole)
+        << "split " << split;
+}
+
+TEST_F(IoTest, SnapshotHeaderCarriesReferenceCrc) {
+  // Pinned on disk: a payload of exactly "123456789" carries the CRC-32
+  // check value in the header, and a larger payload (a widened label
+  // array longer than one write chunk) carries the reference CRC; both
+  // headers seal their first 28 bytes with the reference CRC too.
+  {
+    SnapshotWriter w(path("check.snap"), 7);
+    w.write_bytes("123456789", 9);
+    w.commit();
+  }
+  auto bytes = read_bytes(path("check.snap"));
+  ASSERT_EQ(bytes.size(), detail::kSnapshotHeaderBytes + 9);
+  EXPECT_EQ(load_u32(bytes, 24), 0xCBF43926u);
+  EXPECT_EQ(load_u32(bytes, 28), reference_crc32(0, bytes.data(), 28));
+
+  std::vector<std::int32_t> labels(10000);
+  for (std::size_t i = 0; i < labels.size(); ++i)
+    labels[i] = static_cast<std::int32_t>((i * 2654435761u) & 0xffffffu) - (1 << 23);
+  {
+    SnapshotWriter w(path("labels.snap"), 7);
+    w.write_u64(42);
+    w.write_i64_array(labels);
+    w.commit();
+  }
+  bytes = read_bytes(path("labels.snap"));
+  ASSERT_EQ(bytes.size(), detail::kSnapshotHeaderBytes + 8 + 8 + 8 * labels.size());
+  EXPECT_EQ(load_u32(bytes, 24),
+            reference_crc32(0, bytes.data() + detail::kSnapshotHeaderBytes,
+                            bytes.size() - detail::kSnapshotHeaderBytes));
+  EXPECT_EQ(load_u32(bytes, 28), reference_crc32(0, bytes.data(), 28));
+
+  SnapshotReader r(path("labels.snap"), 7);
+  EXPECT_EQ(r.read_u64(), 42u);
+  EXPECT_EQ(r.read_i64_array<std::int32_t>(), labels);
+  r.finish();
 }
 
 }  // namespace

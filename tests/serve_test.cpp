@@ -16,6 +16,7 @@
 #include <vector>
 
 #include <poll.h>
+#include <signal.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -641,6 +642,27 @@ TEST(ServeReplication, CommitSealCoversQualityScalars) {
     EXPECT_EQ(e.error().code, ErrorCode::kReplicationBroken);
   }
   EXPECT_TRUE(refused);
+}
+
+TEST(ServeReplication, WriteToClosedPeerFailsWithoutSigpipe) {
+  // Every library socket write goes through LineSocket::write_all.  With
+  // SIGPIPE at its default disposition (process termination), writing
+  // to a peer that has closed must report failure and leave the process
+  // alive, so an embedder never has to ignore SIGPIPE.
+  struct sigaction dfl {}, prev {};
+  dfl.sa_handler = SIG_DFL;
+  ASSERT_EQ(::sigaction(SIGPIPE, &dfl, &prev), 0);
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  ::close(fds[1]);
+  serve::detail::LineSocket io(fds[0], 1.0);
+  EXPECT_FALSE(io.write_all(std::string(1 << 16, 'x')));
+  EXPECT_FALSE(io.write_line("HB 1"));
+  ::close(fds[0]);
+  struct sigaction now {};
+  ASSERT_EQ(::sigaction(SIGPIPE, nullptr, &now), 0);
+  EXPECT_EQ(now.sa_handler, SIG_DFL);
+  ASSERT_EQ(::sigaction(SIGPIPE, &prev, nullptr), 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -326,6 +326,35 @@ TEST(ShardDetect, SpillBitIdentical) {
   EXPECT_TRUE(std::filesystem::is_empty(dir));
 }
 
+TEST(ShardDetect, SpillTimeCountersTrackBlockIo) {
+  // The time counters sit beside the byte counters: a spilled run that
+  // loaded blocks reports time inside those loads and stores, and a run
+  // without spill reports none.
+  const auto g = rmat_graph(12);
+  DetectOptions opts;
+  opts.agglomeration.min_coverage = 0.5;
+
+  obs::MetricsRegistry spilled;
+  {
+    obs::MetricsSession session(spilled);
+    (void)detect_communities_sharded(
+        partition_graph(g, 4, ShardSpill{true, fresh_dir("shard_spill_time")}), opts);
+  }
+  ASSERT_GT(spilled.counter("shard.spill.reads").value(), 0);
+  EXPECT_GT(spilled.counter("shard.spill.read_us").value(), 0);
+  ASSERT_GT(spilled.counter("shard.spill.writes").value(), 0);
+  EXPECT_GT(spilled.counter("shard.spill.write_us").value(), 0);
+
+  obs::MetricsRegistry in_core;
+  {
+    obs::MetricsSession session(in_core);
+    (void)detect_communities_sharded(partition_graph(g, 4), opts);
+  }
+  EXPECT_EQ(in_core.counter("shard.spill.reads").value(), 0);
+  EXPECT_EQ(in_core.counter("shard.spill.read_us").value(), 0);
+  EXPECT_EQ(in_core.counter("shard.spill.write_us").value(), 0);
+}
+
 // Satellite 3: a spill-file read failure is contained — the driver
 // degrades to the best clustering so far with a structured error, and
 // never returns torn data.
